@@ -385,9 +385,10 @@ func BenchmarkRequestPool(b *testing.B) {
 
 // BenchmarkFlowRulePoint measures one X14 flow-rule offload point: the
 // figure-flowrule threshold-16 configuration at its 4096-flow anchor
-// population, flow-keyed generator and all. allocs/op covers the full
-// point — flow records and rule-table state are pooled, so the number
-// must stay flat as Measure grows. Tracked by cmd/mindgap-perf against
+// population, flow-keyed generator and all. allocs/op and B/op cover
+// the full point — the flow records live in one table whose chunks are
+// sized by the population and whose slots are recycled, so both must
+// stay flat as Measure grows. Tracked by cmd/mindgap-perf against
 // BENCH.json; fast_hit_% is the headline steering split.
 func BenchmarkFlowRulePoint(b *testing.B) {
 	sp := scenario.Spec{

@@ -548,6 +548,10 @@ func (s *Offload) Inject(req *task.Request) {
 	s.ingress.SendT(s.cfg.P.RequestFrameBytes, offIngress, s, req, 0)
 }
 
+// BindFlowTable implements the experiment System interface; the
+// offload system ignores flow identity.
+func (s *Offload) BindFlowTable(*task.FlowTable) {}
+
 // offIngress fires when a client request frame reaches the NIC port.
 //
 //mindgap:noalloc

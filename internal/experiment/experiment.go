@@ -119,8 +119,9 @@ func RunPoint(cfg PointConfig) Result {
 	}
 
 	if fl := cfg.Flow; fl != nil {
-		// Flow records are pooled like requests; records are released by
-		// whichever side (generator or system) drops a flow's last
+		// One flow table per point, sized to the population: the
+		// generator fills it and the system resolves request refs in it.
+		// Records are released by whichever side drops a flow's last
 		// reference.
 		fgen := loadgen.NewFlow(eng, loadgen.FlowConfig{
 			RPS:              cfg.OfferedRPS,
@@ -133,8 +134,8 @@ func RunPoint(cfg PointConfig) Result {
 			ElephantTrain:    fl.ElephantTrain,
 			Seed:             cfg.Seed,
 			Pool:             pool,
-			FlowPool:         &task.FlowPool{},
 		}, sys.Inject)
+		sys.BindFlowTable(fgen.Table())
 		fgen.Start()
 	} else {
 		gen := loadgen.New(eng, loadgen.Config{

@@ -3,10 +3,14 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
+	"mindgap/internal/sim"
+	"mindgap/internal/stats"
+	"mindgap/internal/task"
 )
 
 // smallFlowRulePreset shrinks the checked-in figure-flowrule preset to
@@ -127,5 +131,32 @@ func TestFlowRuleTableRows(t *testing.T) {
 	}
 	if maxFlows < 1_000_000 {
 		t.Errorf("largest population = %d, want >= 1M concurrent flows", maxFlows)
+	}
+}
+
+// decorated wraps a System the way measurement harnesses do, by
+// embedding the interface: only the interface's methods reach the
+// wrapped system through it.
+type decorated struct{ scenario.System }
+
+// TestFlowTableReachesDecoratedSystem checks that RunPoint binds the
+// point's flow table through a decorator embedding the System, so a
+// wrapped flow-rule point measures exactly what the bare one does.
+func TestFlowTableReachesDecoratedSystem(t *testing.T) {
+	p := mustPreset("figure-flowrule")
+	sp := p.SpecFor(1).WithFlows(1024)
+	cfg, err := pointConfigFor(sp, Quality{Warmup: 300, Measure: 2000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.OfferedRPS = sp.Load.RPS
+	bare := RunPoint(cfg)
+	f := cfg.Factory
+	cfg.Factory = func(eng *sim.Engine, rec *stats.Recorder, done func(*task.Request)) System {
+		return decorated{f(eng, rec, done)}
+	}
+	wrapped := RunPoint(cfg)
+	if bare.Completed == 0 || !reflect.DeepEqual(bare, wrapped) {
+		t.Fatalf("decorated point = %+v, bare = %+v", wrapped, bare)
 	}
 }

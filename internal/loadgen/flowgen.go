@@ -3,12 +3,14 @@
 // FlowGenerator maintains an exact population of concurrent flows —
 // elephants and rats with per-class packet trains — and emits each
 // request as one DPDK-style packet batch stamped with its flow's
-// identity and state record. Flow-state systems (the flowrule kind) key
-// their rule tables on those records; flow-blind systems simply see a
-// request stream whose service times happen to be batch-sized.
+// identity and the ref of its state record in the generator's
+// FlowTable. Flow-state systems (the flowrule kind) key their rule
+// tables on those records; flow-blind systems simply see a request
+// stream whose service times happen to be batch-sized.
 package loadgen
 
 import (
+	"math"
 	"math/rand/v2"
 	"time"
 
@@ -39,17 +41,18 @@ type FlowConfig struct {
 	// Flows is the concurrent flow population, held exactly constant: a
 	// retiring flow is replaced by a fresh one the same instant. Churn
 	// (and with it rule-table pressure) comes from the flows' finite
-	// packet trains, not from a drifting population.
+	// packet trains, not from a drifting population. At most
+	// task.MaxFlows.
 	Flows int
 	// ElephantFraction is the fraction of spawned flows that are
 	// elephants, applied exactly via an error accumulator (a fraction of
 	// 0.2 makes every fifth spawn an elephant, not a coin flip).
 	ElephantFraction float64
 	// RatBatch and ElephantBatch are packets per emitted batch (defaults
-	// 4 and 64).
+	// 4 and 64; at most math.MaxUint32).
 	RatBatch, ElephantBatch int
 	// RatTrain and ElephantTrain are packets per flow lifetime (defaults
-	// 4 and 1024).
+	// 4 and 1024; at most math.MaxUint32).
 	RatTrain, ElephantTrain int
 	// Seed makes the arrival, selection, and service streams
 	// reproducible.
@@ -61,11 +64,6 @@ type FlowConfig struct {
 	ClientID uint32
 	// Pool, when set, recycles Request objects (as in Config).
 	Pool *task.Pool
-	// FlowPool, when set, recycles Flow records. Records are released by
-	// whoever drops a flow's last reference (generator or system) via
-	// Flow.ReleaseIfIdle; nil allocates fresh records and leaves them to
-	// the GC.
-	FlowPool *task.FlowPool
 }
 
 // FlowGenerator produces flow-keyed batches on a simulation engine and
@@ -80,10 +78,14 @@ type FlowGenerator struct {
 	rng  *rand.Rand
 	sink func(*task.Request)
 
+	// table holds every flow record. A record is released by whoever
+	// drops the flow's last reference — the generator or the system the
+	// table is bound to — via FlowTable.ReleaseIfIdle.
+	table *task.FlowTable
 	// active is the dense live-flow population; batch arrivals index it
 	// uniformly and retirement swap-deletes, so selection is O(1) and
 	// allocation-free.
-	active []*task.Flow
+	active []task.FlowRef
 
 	nextReqID  uint64
 	nextFlowID task.FlowID
@@ -93,8 +95,8 @@ type FlowGenerator struct {
 	retiredFlows   uint64
 }
 
-// NewFlow creates a flow generator. sink is called exactly at each
-// batch's arrival instant.
+// NewFlow creates a flow generator and its flow table, sized to the
+// population. sink is called exactly at each batch's arrival instant.
 func NewFlow(eng *sim.Engine, cfg FlowConfig, sink func(*task.Request)) *FlowGenerator {
 	if cfg.RPS <= 0 {
 		panic("loadgen: RPS must be positive")
@@ -105,8 +107,8 @@ func NewFlow(eng *sim.Engine, cfg FlowConfig, sink func(*task.Request)) *FlowGen
 	if sink == nil {
 		panic("loadgen: sink required")
 	}
-	if cfg.Flows <= 0 {
-		panic("loadgen: flow population must be positive")
+	if cfg.Flows <= 0 || cfg.Flows > task.MaxFlows {
+		panic("loadgen: flow population must be in [1, task.MaxFlows]")
 	}
 	if cfg.ElephantFraction < 0 || cfg.ElephantFraction > 1 {
 		panic("loadgen: elephant fraction must be in [0, 1]")
@@ -123,19 +125,27 @@ func NewFlow(eng *sim.Engine, cfg FlowConfig, sink func(*task.Request)) *FlowGen
 	if cfg.ElephantTrain <= 0 {
 		cfg.ElephantTrain = DefaultElephantTrain
 	}
+	if int64(max(cfg.RatBatch, cfg.ElephantBatch, cfg.RatTrain, cfg.ElephantTrain)) > math.MaxUint32 {
+		panic("loadgen: batch and train sizes must fit in uint32")
+	}
 	return &FlowGenerator{
-		eng:  eng,
-		cfg:  cfg,
-		rng:  rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x6d696e64676170)), // "mindgap"
-		sink: sink,
+		eng:   eng,
+		cfg:   cfg,
+		rng:   rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x6d696e64676170)), // "mindgap"
+		sink:  sink,
+		table: task.NewFlowTable(cfg.Flows),
 	}
 }
+
+// Table returns the flow table that the emitted requests' Flow refs
+// index; a flow-aware system must be bound to it.
+func (g *FlowGenerator) Table() *task.FlowTable { return g.table }
 
 // Start spawns the initial flow population and schedules the first
 // batch arrival. Generation continues open-loop until MaxArrivals (if
 // set) or until the engine halts.
 func (g *FlowGenerator) Start() {
-	g.active = make([]*task.Flow, 0, g.cfg.Flows)
+	g.active = make([]task.FlowRef, 0, g.cfg.Flows)
 	for i := 0; i < g.cfg.Flows; i++ {
 		g.spawn()
 	}
@@ -161,20 +171,14 @@ func (g *FlowGenerator) spawn() {
 		g.elephantCredit--
 		class, train = task.ClassElephant, uint32(g.cfg.ElephantTrain)
 	}
-	var f *task.Flow
-	if g.cfg.FlowPool != nil {
-		f = g.cfg.FlowPool.Get(g.nextFlowID, class, train)
-	} else {
-		f = task.NewFlow(g.nextFlowID, class, train)
-	}
 	g.flows++
-	g.active = append(g.active, f)
+	g.active = append(g.active, g.table.Get(g.nextFlowID, class, train))
 }
 
 // flowGenBatch fires at each batch arrival instant: pick a live flow
 // uniformly, emit one batch of its train, retire-and-replace it if the
 // train is exhausted, and schedule the next arrival. Typed event,
-// pooled request, pooled flow record, swap-delete population — the
+// pooled request, table-held flow record, swap-delete population — the
 // steady-state path is allocation-free.
 //
 //mindgap:noalloc
@@ -184,7 +188,8 @@ func flowGenBatch(recv, _ any, _ uint64) {
 		return
 	}
 	idx := g.rng.IntN(len(g.active))
-	f := g.active[idx]
+	ref := g.active[idx]
+	f := g.table.At(ref)
 	batch := uint32(g.cfg.RatBatch)
 	if f.Class == task.ClassElephant {
 		batch = uint32(g.cfg.ElephantBatch)
@@ -204,7 +209,7 @@ func flowGenBatch(recv, _ any, _ uint64) {
 	}
 	req.ClientID = g.cfg.ClientID
 	req.FlowID = f.ID
-	req.FlowState = f
+	req.Flow = ref
 	req.Packets = batch
 	f.Remaining -= batch
 	f.InFlight++
@@ -216,7 +221,6 @@ func flowGenBatch(recv, _ any, _ uint64) {
 		f.Retired = true
 		last := len(g.active) - 1
 		g.active[idx] = g.active[last]
-		g.active[last] = nil
 		g.active = g.active[:last]
 		g.retiredFlows++
 		g.spawn()

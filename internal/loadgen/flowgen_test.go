@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -10,32 +11,41 @@ import (
 	"mindgap/internal/telemetry"
 )
 
-// drainSink classifies like a flow-aware system: count the batch,
-// decrement InFlight, and drop the last reference so retired records can
-// recycle.
-func drainSink(counts map[task.FlowClass]uint64) func(*task.Request) {
+// classify does what a flow-aware system does at classification: take
+// the batch's flow ref, decrement InFlight, and drop the reference so a
+// retired record can recycle. It returns the flow's class, read before
+// the record can be released.
+func classify(g *FlowGenerator, r *task.Request) task.FlowClass {
+	ref := r.Flow
+	r.Flow = 0
+	f := g.Table().At(ref)
+	class := f.Class
+	f.InFlight--
+	g.Table().ReleaseIfIdle(ref)
+	return class
+}
+
+// drainSink classifies every batch of *g and counts its packets by
+// class. It reads g at call time, so it can be built before the
+// generator it drains.
+func drainSink(g **FlowGenerator, counts map[task.FlowClass]uint64) func(*task.Request) {
 	return func(r *task.Request) {
-		f := r.FlowState
-		r.FlowState = nil
-		counts[f.Class] += uint64(r.Packets)
-		f.InFlight--
-		f.ReleaseIfIdle()
+		counts[classify(*g, r)] += uint64(r.Packets)
 	}
 }
 
 func TestFlowGeneratorPopulationExact(t *testing.T) {
 	eng := sim.New()
-	fp := &task.FlowPool{}
 	counts := map[task.FlowClass]uint64{}
-	g := NewFlow(eng, FlowConfig{
+	var g *FlowGenerator
+	g = NewFlow(eng, FlowConfig{
 		RPS:              1_000_000,
 		Service:          dist.Fixed{D: 100 * time.Nanosecond},
 		Flows:            64,
 		ElephantFraction: 0.25,
 		Seed:             3,
 		MaxArrivals:      50_000,
-		FlowPool:         fp,
-	}, drainSink(counts))
+	}, drainSink(&g, counts))
 	g.Start()
 	if g.Population() != 64 {
 		t.Fatalf("population after Start = %d, want 64", g.Population())
@@ -49,8 +59,8 @@ func TestFlowGeneratorPopulationExact(t *testing.T) {
 	}
 	// Retired records whose batches have all been classified must have
 	// been recycled: live = the 64 active + nothing else.
-	if fp.Live() != 64 {
-		t.Fatalf("flow pool live = %d, want 64", fp.Live())
+	if live := g.Table().Live(); live != 64 {
+		t.Fatalf("flow table live = %d, want 64", live)
 	}
 	if g.Arrivals() != 50_000 {
 		t.Fatalf("arrivals = %d, want 50000", g.Arrivals())
@@ -60,20 +70,21 @@ func TestFlowGeneratorPopulationExact(t *testing.T) {
 func TestFlowGeneratorElephantSplitExact(t *testing.T) {
 	eng := sim.New()
 	counts := map[task.FlowClass]uint64{}
-	g := NewFlow(eng, FlowConfig{
+	var g *FlowGenerator
+	g = NewFlow(eng, FlowConfig{
 		RPS:              1_000_000,
 		Service:          dist.Fixed{D: 100 * time.Nanosecond},
 		Flows:            1000,
 		ElephantFraction: 0.2,
 		Seed:             9,
 		MaxArrivals:      1,
-	}, drainSink(counts))
+	}, drainSink(&g, counts))
 	g.Start()
 	// The split is an error accumulator, not a coin flip: of the first
 	// 1000 spawns at fraction 0.2, exactly 200 are elephants.
 	var elephants uint64
-	for _, f := range g.active {
-		if f.Class == task.ClassElephant {
+	for _, ref := range g.active {
+		if g.Table().At(ref).Class == task.ClassElephant {
 			elephants++
 		}
 	}
@@ -88,7 +99,8 @@ func TestFlowGeneratorElephantSplitExact(t *testing.T) {
 func TestFlowGeneratorBatchAndTrainAccounting(t *testing.T) {
 	eng := sim.New()
 	counts := map[task.FlowClass]uint64{}
-	g := NewFlow(eng, FlowConfig{
+	var g *FlowGenerator
+	g = NewFlow(eng, FlowConfig{
 		RPS:              500_000,
 		Service:          dist.Fixed{D: 170 * time.Nanosecond},
 		Flows:            8,
@@ -98,18 +110,14 @@ func TestFlowGeneratorBatchAndTrainAccounting(t *testing.T) {
 		Seed:        11,
 		MaxArrivals: 20_000,
 	}, func(r *task.Request) {
-		f := r.FlowState
-		r.FlowState = nil
-		if r.FlowID == 0 {
-			t.Fatal("batch without a flow id")
+		if r.FlowID == 0 || r.Flow == 0 {
+			t.Fatal("batch without a flow id or record")
 		}
-		counts[f.Class] += uint64(r.Packets)
 		// A batch's service time is the per-packet draw times its size.
 		if want := 170 * time.Nanosecond * time.Duration(r.Packets); r.Service != want {
 			t.Fatalf("batch service = %v for %d packets, want %v", r.Service, r.Packets, want)
 		}
-		f.InFlight--
-		f.ReleaseIfIdle()
+		counts[classify(g, r)] += uint64(r.Packets)
 	})
 	g.Start()
 	eng.Run()
@@ -126,20 +134,17 @@ func TestFlowGeneratorDeterministicStreams(t *testing.T) {
 	run := func() []uint64 {
 		eng := sim.New()
 		var ids []uint64
-		g := NewFlow(eng, FlowConfig{
+		var g *FlowGenerator
+		g = NewFlow(eng, FlowConfig{
 			RPS:              2_000_000,
 			Service:          dist.Fixed{D: time.Microsecond},
 			Flows:            32,
 			ElephantFraction: 0.2,
 			Seed:             21,
 			MaxArrivals:      5000,
-			FlowPool:         &task.FlowPool{},
 		}, func(r *task.Request) {
-			f := r.FlowState
-			r.FlowState = nil
 			ids = append(ids, uint64(r.FlowID)<<32|uint64(r.Packets))
-			f.InFlight--
-			f.ReleaseIfIdle()
+			classify(g, r)
 		})
 		g.Start()
 		eng.Run()
@@ -169,19 +174,15 @@ func TestCounterMetricsShared(t *testing.T) {
 		MaxArrivals: 100,
 	}, func(r *task.Request) {})
 	g.PublishMetrics(reg, "loadgen")
-	fg := NewFlow(eng, FlowConfig{
+	var fg *FlowGenerator
+	fg = NewFlow(eng, FlowConfig{
 		RPS:              1_000_000,
 		Service:          dist.Fixed{D: time.Microsecond},
 		Flows:            10,
 		ElephantFraction: 0.2,
 		Seed:             2,
 		MaxArrivals:      100,
-	}, func(r *task.Request) {
-		f := r.FlowState
-		r.FlowState = nil
-		f.InFlight--
-		f.ReleaseIfIdle()
-	})
+	}, func(r *task.Request) { classify(fg, r) })
 	fg.PublishMetrics(reg, "flowgen")
 	g.Start()
 	fg.Start()
@@ -210,11 +211,16 @@ func TestFlowConfigValidation(t *testing.T) {
 	eng := sim.New()
 	sink := func(*task.Request) {}
 	for name, cfg := range map[string]FlowConfig{
-		"zero rps":     {Service: dist.Fixed{D: 1}, Flows: 1},
-		"no service":   {RPS: 1, Flows: 1},
-		"zero flows":   {RPS: 1, Service: dist.Fixed{D: 1}},
-		"bad fraction": {RPS: 1, Service: dist.Fixed{D: 1}, Flows: 1, ElephantFraction: 1.5},
-		"neg fraction": {RPS: 1, Service: dist.Fixed{D: 1}, Flows: 1, ElephantFraction: -0.1},
+		"zero rps":                {Service: dist.Fixed{D: 1}, Flows: 1},
+		"no service":              {RPS: 1, Flows: 1},
+		"zero flows":              {RPS: 1, Service: dist.Fixed{D: 1}},
+		"bad fraction":            {RPS: 1, Service: dist.Fixed{D: 1}, Flows: 1, ElephantFraction: 1.5},
+		"neg fraction":            {RPS: 1, Service: dist.Fixed{D: 1}, Flows: 1, ElephantFraction: -0.1},
+		"too many flows":          {RPS: 1, Service: dist.Fixed{D: 1}, Flows: task.MaxFlows + 1},
+		"rat batch overflow":      {RPS: 1, Service: dist.Fixed{D: 1}, Flows: 1, RatBatch: math.MaxUint32 + 1},
+		"elephant batch overflow": {RPS: 1, Service: dist.Fixed{D: 1}, Flows: 1, ElephantBatch: math.MaxUint32 + 1},
+		"rat train overflow":      {RPS: 1, Service: dist.Fixed{D: 1}, Flows: 1, RatTrain: math.MaxUint32 + 1},
+		"elephant train overflow": {RPS: 1, Service: dist.Fixed{D: 1}, Flows: 1, ElephantTrain: math.MaxUint32 + 1},
 	} {
 		func() {
 			defer func() {

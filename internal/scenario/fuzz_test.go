@@ -21,11 +21,19 @@ func FuzzSpecDecode(f *testing.F) {
 	f.Add([]byte(`{"system":"flowrule","seed":7,"flow":{"flows":4096,"elephant_fraction":0.2,"rat_train":16,"elephant_batch":64},"knobs":{"workers":1,"rule_capacity":1536,"insert_rate":20000,"insert_queue":256,"offload_threshold":16,"adaptive_threshold":true,"idle_timeout":"50ms","slow_queue":512}}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"faults":{}}`))
+	// Flow specs Validate rejects: a population past the flow table's
+	// cap, and batch/train sizes past uint32.
+	f.Add([]byte(`{"system":"flowrule","workload":"fixed:170ns","load":{"rps":400000},"flow":{"flows":1073741825},"knobs":{"workers":1}}`))
+	f.Add([]byte(`{"system":"flowrule","workload":"fixed:170ns","load":{"rps":400000},"flow":{"flows":4096,"rat_train":4294967296},"knobs":{"workers":1}}`))
+	f.Add([]byte(`{"system":"flowrule","workload":"fixed:170ns","load":{"rps":400000},"flow":{"flows":4096,"elephant_batch":4294967296},"knobs":{"workers":1}}`))
+	f.Add([]byte(`{"system":"flowrule","workload":"fixed:170ns","load":{"rps":400000,"fsweep":{"lo":4096,"hi":1073741825,"mul":4}},"flow":{"flows":0},"knobs":{"workers":1}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := Decode(data)
 		if err != nil {
 			return
 		}
+		// Validation must judge every decodable spec without panicking.
+		_ = sp.Validate()
 		enc1, err := sp.Encode()
 		if err != nil {
 			// Decoded values must encode; anything else is a parser
@@ -51,6 +59,7 @@ func FuzzPresetDecode(f *testing.F) {
 	f.Add([]byte(`{"id":"f","workload":"bimodal:0.995:5µs:100µs","load":{"grid":{"lo":100000,"hi":300000,"step":100000}},"seed":7,"series":[{"label":"y","system":"offload","knobs":{"workers":4},"faults":{"timeout":"1ms","degrade":true}}]}`))
 	f.Add([]byte(`{"id":"t","series":[{"label":"mt","tenants":[{"name":"a","rps":1000,"workload":"exp:10µs"}]}]}`))
 	f.Add([]byte(`{"id":"fr","workload":"fixed:170ns","flow":{"flows":4096,"elephant_fraction":0.2},"load":{"rps":400000,"fsweep":{"lo":4096,"hi":1048576,"mul":4}},"seed":7,"series":[{"label":"t16","system":"flowrule","knobs":{"workers":1,"offload_threshold":16},"quality":{"warmup":10000,"measure":30000}}]}`))
+	f.Add([]byte(`{"id":"fr","workload":"fixed:170ns","flow":{"flows":4096,"elephant_train":4294967296},"load":{"rps":400000,"fsweep":{"lo":4096,"hi":1073741825,"mul":4}},"seed":7,"series":[{"label":"t16","system":"flowrule","knobs":{"workers":1}}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodePreset(data)
 		if err != nil {

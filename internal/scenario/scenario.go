@@ -32,6 +32,12 @@ type System interface {
 	WorkerIdleFraction(sim.Time) float64
 	// ArmWorkerTrackers starts worker utilization accounting.
 	ArmWorkerTrackers(sim.Time)
+	// BindFlowTable hands the system the table that a flow-keyed
+	// point's request Flow refs index, before the first request. It is
+	// part of the interface rather than an optional extension so that
+	// decorators embedding a System forward it; flow-blind systems
+	// ignore it.
+	BindFlowTable(*task.FlowTable)
 }
 
 // Factory builds a system on the given engine. done must be invoked at

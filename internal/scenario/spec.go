@@ -11,6 +11,7 @@ import (
 
 	"mindgap/internal/dist"
 	"mindgap/internal/faults"
+	"mindgap/internal/task"
 )
 
 // SchemaVersion is baked into every fingerprint. Bump it whenever the
@@ -260,11 +261,17 @@ func (f FlowSpec) validate(hasFSweep bool) error {
 	if f.Flows < 0 {
 		return fmt.Errorf("scenario: negative flow population %d", f.Flows)
 	}
+	if f.Flows > task.MaxFlows {
+		return fmt.Errorf("scenario: flow population %d above the flow table's cap %d", f.Flows, task.MaxFlows)
+	}
 	if f.ElephantFraction < 0 || f.ElephantFraction > 1 {
 		return fmt.Errorf("scenario: elephant_fraction %g outside [0, 1]", f.ElephantFraction)
 	}
 	if f.RatBatch < 0 || f.ElephantBatch < 0 || f.RatTrain < 0 || f.ElephantTrain < 0 {
 		return fmt.Errorf("scenario: negative flow batch/train sizes")
+	}
+	if int64(max(f.RatBatch, f.ElephantBatch, f.RatTrain, f.ElephantTrain)) > math.MaxUint32 {
+		return fmt.Errorf("scenario: flow batch/train sizes above %d packets", uint32(math.MaxUint32))
 	}
 	return nil
 }
@@ -543,6 +550,9 @@ func (l LoadSpec) validate() error {
 		if len(l.FSweep.Points()) == 0 {
 			return fmt.Errorf("scenario: bad fsweep lo=%d hi=%d mul=%d (need lo>=1, mul>=2, hi>=lo)",
 				l.FSweep.Lo, l.FSweep.Hi, l.FSweep.Mul)
+		}
+		if l.FSweep.Hi > task.MaxFlows {
+			return fmt.Errorf("scenario: fsweep hi=%d above the flow table's cap %d", l.FSweep.Hi, task.MaxFlows)
 		}
 		if l.RPS <= 0 {
 			return fmt.Errorf("scenario: fsweep needs a fixed rps load")

@@ -2,10 +2,13 @@ package scenario
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"testing"
 	"time"
+
+	"mindgap/internal/task"
 )
 
 // TestGridPointsExact pins the integer-index grid generation: every point
@@ -179,6 +182,37 @@ func TestValidateLoad(t *testing.T) {
 		sp.Load = l
 		if err := sp.Validate(); err != nil {
 			t.Errorf("load %+v failed validation: %v", *l, err)
+		}
+	}
+}
+
+// TestValidateFlowBounds checks that flow specs whose populations or
+// packet counts would overflow the flow table's refs or the generator's
+// uint32 record fields are rejected, and that the largest accepted
+// values pass.
+func TestValidateFlowBounds(t *testing.T) {
+	base := Spec{System: "flowrule", Knobs: &Knobs{Workers: 1}, Workload: "fixed:170ns"}
+	rps := &LoadSpec{RPS: 400_000}
+	const over = math.MaxUint32 + 1
+	for name, tc := range map[string]struct {
+		flow *FlowSpec
+		load *LoadSpec
+		ok   bool
+	}{
+		"flows at cap":            {&FlowSpec{Flows: task.MaxFlows}, rps, true},
+		"flows above cap":         {&FlowSpec{Flows: task.MaxFlows + 1}, rps, false},
+		"fsweep hi at cap":        {&FlowSpec{}, &LoadSpec{RPS: 400_000, FSweep: &FSweep{Lo: 4096, Hi: task.MaxFlows, Mul: 4}}, true},
+		"fsweep hi above cap":     {&FlowSpec{}, &LoadSpec{RPS: 400_000, FSweep: &FSweep{Lo: 4096, Hi: task.MaxFlows + 1, Mul: 4}}, false},
+		"batch and train at max":  {&FlowSpec{Flows: 1, RatBatch: math.MaxUint32, ElephantBatch: math.MaxUint32, RatTrain: math.MaxUint32, ElephantTrain: math.MaxUint32}, rps, true},
+		"rat batch overflow":      {&FlowSpec{Flows: 1, RatBatch: over}, rps, false},
+		"elephant batch overflow": {&FlowSpec{Flows: 1, ElephantBatch: over}, rps, false},
+		"rat train overflow":      {&FlowSpec{Flows: 1, RatTrain: over}, rps, false},
+		"elephant train overflow": {&FlowSpec{Flows: 1, ElephantTrain: over}, rps, false},
+	} {
+		sp := base
+		sp.Flow, sp.Load = tc.flow, tc.load
+		if err := sp.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", name, err, tc.ok)
 		}
 	}
 }

@@ -122,6 +122,10 @@ func (s *ERSS) Inject(req *task.Request) {
 	s.ingress.SendT(s.cfg.P.RequestFrameBytes, erssIngress, s, req, 0)
 }
 
+// BindFlowTable implements the experiment System interface; eRSS
+// ignores flow identity.
+func (s *ERSS) BindFlowTable(*task.FlowTable) {}
+
 // erssIngress fires when a request frame reaches the NIC: RSS hash over
 // the provisioned set only.
 //

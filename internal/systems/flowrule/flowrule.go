@@ -91,13 +91,17 @@ type FlowRule struct {
 	slowQ   queue.FIFO[*task.Request]
 	servers []*slowServer
 
-	pending   queue.FIFO[*task.Flow]
+	// flows holds the records the requests' Flow refs index (see
+	// BindFlowTable).
+	flows *task.FlowTable
+
+	pending   queue.FIFO[task.FlowRef]
 	inserting bool
 
 	// The rule table is an intrusive LRU list over resident Flow
-	// records: head is least recent, tail most recent. No map — the
-	// lookup is the FlowState pointer each request already carries.
-	lruHead, lruTail *task.Flow
+	// records, linked by ref: head is least recent, tail most recent.
+	// No map — the lookup is the Flow ref each request already carries.
+	lruHead, lruTail task.FlowRef
 	resident         int
 	threshold        int
 
@@ -204,6 +208,12 @@ func (s *FlowRule) publishMetrics() {
 // Name implements the experiment System interface.
 func (s *FlowRule) Name() string { return "flowrule" }
 
+// BindFlowTable implements the experiment System interface: the
+// classifier resolves each request's Flow ref in t, the table of the
+// generator that emitted it. A system that sees flow-keyed requests
+// must be bound before the first one arrives.
+func (s *FlowRule) BindFlowTable(t *task.FlowTable) { s.flows = t }
+
 // Inject admits a client batch at the current instant; it reaches the
 // NIC classifier one wire delay later.
 func (s *FlowRule) Inject(req *task.Request) {
@@ -212,37 +222,38 @@ func (s *FlowRule) Inject(req *task.Request) {
 
 // frIngress fires when a batch reaches the NIC: the classifier's
 // rule-table lookup and fast/slow steering decision. This is the hot
-// path — one pointer chase, no map, no allocation.
+// path — one table index, no map, no allocation.
 //
 //mindgap:noalloc
 func frIngress(recv, obj any, _ uint64) {
 	s := recv.(*FlowRule)
 	req := obj.(*task.Request)
-	f := req.FlowState
+	ref := req.Flow
 	// The state record may be recycled the instant its last reference
 	// drops; classification is the only place this system touches it.
-	req.FlowState = nil
+	req.Flow = 0
 	pkts := uint64(req.Packets)
 	if pkts == 0 {
 		pkts = 1
 	}
 	now := s.eng.Now()
-	if f != nil {
+	if ref != 0 {
+		f := s.flows.At(ref)
 		f.InFlight--
 		f.Seen += pkts
 		if f.Resident {
-			s.touch(f, now)
+			s.touch(ref, f, now)
 			s.fastBatches++
 			s.fastPackets += pkts
-			f.ReleaseIfIdle()
+			s.flows.ReleaseIfIdle(ref)
 			s.col.Arrive(req.Arrival, req.ID, 0)
 			s.col.Ingress(now, req.ID)
 			s.col.Dispatch(now, req.ID)
 			s.eng.AfterE(s.cfg.FastLatency, frFastDone, s, req, 0)
 			return
 		}
-		s.maybeOffload(f)
-		f.ReleaseIfIdle()
+		s.maybeOffload(ref, f)
+		s.flows.ReleaseIfIdle(ref)
 	}
 	if s.slowQ.Len() >= s.cfg.SlowQueueCap {
 		s.dropBatches++
@@ -266,7 +277,7 @@ func frIngress(recv, obj any, _ uint64) {
 // and the insertion pipeline has room.
 //
 //mindgap:noalloc
-func (s *FlowRule) maybeOffload(f *task.Flow) {
+func (s *FlowRule) maybeOffload(ref task.FlowRef, f *task.Flow) {
 	if f.Resident || f.PendingInsert || f.Retired {
 		return
 	}
@@ -280,7 +291,7 @@ func (s *FlowRule) maybeOffload(f *task.Flow) {
 		return
 	}
 	f.PendingInsert = true
-	s.pending.Push(f)
+	s.pending.Push(ref)
 	s.kickInserter()
 }
 
@@ -302,14 +313,15 @@ func (s *FlowRule) kickInserter() {
 func frInsertDone(recv, _ any, _ uint64) {
 	s := recv.(*FlowRule)
 	s.inserting = false
-	if f, ok := s.pending.Pop(); ok {
+	if ref, ok := s.pending.Pop(); ok {
+		f := s.flows.At(ref)
 		f.PendingInsert = false
 		if f.Retired {
 			// The flow ended while its rule was in the pipeline:
 			// installing it would only waste a table slot.
-			f.ReleaseIfIdle()
+			s.flows.ReleaseIfIdle(ref)
 		} else {
-			s.install(f)
+			s.install(ref, f)
 		}
 	}
 	s.kickInserter()
@@ -319,13 +331,13 @@ func frInsertDone(recv, _ any, _ uint64) {
 // the table is full.
 //
 //mindgap:noalloc
-func (s *FlowRule) install(f *task.Flow) {
+func (s *FlowRule) install(ref task.FlowRef, f *task.Flow) {
 	if s.resident >= s.cfg.RuleCapacity {
 		s.evict(s.lruHead, &s.lruEvictions)
 	}
 	f.Resident = true
 	f.LastHit = s.eng.Now()
-	s.lruAppend(f)
+	s.lruAppend(ref, f)
 	s.resident++
 	s.insertions++
 }
@@ -334,56 +346,57 @@ func (s *FlowRule) install(f *task.Flow) {
 // otherwise dead.
 //
 //mindgap:noalloc
-func (s *FlowRule) evict(f *task.Flow, counter *uint64) {
+func (s *FlowRule) evict(ref task.FlowRef, counter *uint64) {
+	f := s.flows.At(ref)
 	s.lruUnlink(f)
 	f.Resident = false
 	s.resident--
 	*counter = *counter + 1
-	f.ReleaseIfIdle()
+	s.flows.ReleaseIfIdle(ref)
 }
 
-// lruAppend links f as most-recently-used (tail).
+// lruAppend links ref's record f as most-recently-used (tail).
 //
 //mindgap:noalloc
-func (s *FlowRule) lruAppend(f *task.Flow) {
+func (s *FlowRule) lruAppend(ref task.FlowRef, f *task.Flow) {
 	f.LRUPrev = s.lruTail
-	f.LRUNext = nil
-	if s.lruTail != nil {
-		s.lruTail.LRUNext = f
+	f.LRUNext = 0
+	if s.lruTail != 0 {
+		s.flows.At(s.lruTail).LRUNext = ref
 	} else {
-		s.lruHead = f
+		s.lruHead = ref
 	}
-	s.lruTail = f
+	s.lruTail = ref
 }
 
 // lruUnlink removes f from the recency list.
 //
 //mindgap:noalloc
 func (s *FlowRule) lruUnlink(f *task.Flow) {
-	if f.LRUPrev != nil {
-		f.LRUPrev.LRUNext = f.LRUNext
+	if f.LRUPrev != 0 {
+		s.flows.At(f.LRUPrev).LRUNext = f.LRUNext
 	} else {
 		s.lruHead = f.LRUNext
 	}
-	if f.LRUNext != nil {
-		f.LRUNext.LRUPrev = f.LRUPrev
+	if f.LRUNext != 0 {
+		s.flows.At(f.LRUNext).LRUPrev = f.LRUPrev
 	} else {
 		s.lruTail = f.LRUPrev
 	}
-	f.LRUPrev, f.LRUNext = nil, nil
+	f.LRUPrev, f.LRUNext = 0, 0
 }
 
-// touch records a fast-path hit: move to most-recent and stamp the
-// idle-eviction clock.
+// touch records a fast-path hit on ref's record f: move to most-recent
+// and stamp the idle-eviction clock.
 //
 //mindgap:noalloc
-func (s *FlowRule) touch(f *task.Flow, now sim.Time) {
+func (s *FlowRule) touch(ref task.FlowRef, f *task.Flow, now sim.Time) {
 	f.LastHit = now
-	if s.lruTail == f {
+	if s.lruTail == ref {
 		return
 	}
 	s.lruUnlink(f)
-	s.lruAppend(f)
+	s.lruAppend(ref, f)
 }
 
 // frFastDone fires when a fast-path batch has transited the hardware
@@ -469,7 +482,7 @@ func frRespond(recv, obj any, _ uint64) {
 func frIdleTick(recv, _ any, _ uint64) {
 	s := recv.(*FlowRule)
 	now := s.eng.Now()
-	for s.lruHead != nil && now.Sub(s.lruHead.LastHit) >= s.cfg.IdleTimeout {
+	for s.lruHead != 0 && now.Sub(s.flows.At(s.lruHead).LastHit) >= s.cfg.IdleTimeout {
 		s.evict(s.lruHead, &s.idleEvictions)
 	}
 	s.eng.AfterE(s.idleEvery, frIdleTick, s, nil, 0)

@@ -17,7 +17,7 @@ type completion struct {
 }
 
 // newSys builds a system on a fresh engine with the given config (P
-// defaulted) and records completions.
+// defaulted), binds it to a fresh flow table, and records completions.
 func newSys(t *testing.T, cfg Config) (*sim.Engine, *FlowRule, *[]completion) {
 	t.Helper()
 	eng := sim.New()
@@ -28,15 +28,24 @@ func newSys(t *testing.T, cfg Config) (*sim.Engine, *FlowRule, *[]completion) {
 	s := New(eng, cfg, &stats.Recorder{}, func(r *task.Request) {
 		done = append(done, completion{req: r, at: eng.Now()})
 	})
+	s.BindFlowTable(task.NewFlowTable(16))
 	return eng, s, &done
+}
+
+// newFlow starts a flow in the system's table, as the generator would.
+// The record's address is stable for the table's lifetime.
+func newFlow(s *FlowRule, id task.FlowID, class task.FlowClass, train uint32) (task.FlowRef, *task.Flow) {
+	ref := s.flows.Get(id, class, train)
+	return ref, s.flows.At(ref)
 }
 
 // inject sends one batch of a flow through the front door, maintaining
 // the generator-side bookkeeping the system expects.
-func inject(eng *sim.Engine, s *FlowRule, f *task.Flow, id uint64, pkts uint32, svc time.Duration) {
+func inject(eng *sim.Engine, s *FlowRule, ref task.FlowRef, id uint64, pkts uint32, svc time.Duration) {
+	f := s.flows.At(ref)
 	req := task.New(id, eng.Now(), svc)
 	req.FlowID = f.ID
-	req.FlowState = f
+	req.Flow = ref
 	req.Packets = pkts
 	f.InFlight++
 	s.Inject(req)
@@ -48,9 +57,9 @@ func TestSlowThenFastSteering(t *testing.T) {
 		Threshold: 1,
 	})
 	wire := params.Default().ClientWireOneWay
-	f := task.NewFlow(1, task.ClassElephant, 1024)
+	ref, f := newFlow(s, 1, task.ClassElephant, 1024)
 
-	inject(eng, s, f, 1, 64, 10*time.Microsecond)
+	inject(eng, s, ref, 1, 64, 10*time.Microsecond)
 	eng.RunUntil(sim.Time(int64(time.Millisecond)))
 	if s.SlowBatches() != 1 || s.FastBatches() != 0 {
 		t.Fatalf("first batch: slow=%d fast=%d, want 1/0", s.SlowBatches(), s.FastBatches())
@@ -67,7 +76,7 @@ func TestSlowThenFastSteering(t *testing.T) {
 		t.Fatalf("resident=%d insertions=%d after qualifying batch, want 1/1", s.Resident(), s.Insertions())
 	}
 
-	inject(eng, s, f, 2, 64, 10*time.Microsecond)
+	inject(eng, s, ref, 2, 64, 10*time.Microsecond)
 	eng.RunUntil(sim.Time(int64(2 * time.Millisecond)))
 	if s.FastBatches() != 1 {
 		t.Fatalf("second batch did not take the fast path (fast=%d)", s.FastBatches())
@@ -90,31 +99,36 @@ func TestLRUEvictionDeterminism(t *testing.T) {
 		RuleCapacity: 2,
 		IdleTimeout:  time.Hour, // keep idle eviction out of the picture
 	})
-	a := task.NewFlow(1, task.ClassElephant, 1<<20)
-	b := task.NewFlow(2, task.ClassElephant, 1<<20)
-	c := task.NewFlow(3, task.ClassElephant, 1<<20)
+	ra, a := newFlow(s, 1, task.ClassElephant, 1<<20)
+	rb, b := newFlow(s, 2, task.ClassElephant, 1<<20)
+	rc, c := newFlow(s, 3, task.ClassElephant, 1<<20)
 
-	inject(eng, s, a, 1, 64, time.Microsecond)
+	inject(eng, s, ra, 1, 64, time.Microsecond)
 	eng.RunUntil(sim.Time(int64(time.Millisecond)))
-	inject(eng, s, b, 2, 64, time.Microsecond)
+	inject(eng, s, rb, 2, 64, time.Microsecond)
 	eng.RunUntil(sim.Time(int64(2 * time.Millisecond)))
 	if s.Resident() != 2 {
 		t.Fatalf("resident = %d, want 2 (a and b installed)", s.Resident())
 	}
 	// Touch a on the fast path: b becomes least-recently-used.
-	inject(eng, s, a, 3, 64, time.Microsecond)
+	inject(eng, s, ra, 3, 64, time.Microsecond)
 	eng.RunUntil(sim.Time(int64(3 * time.Millisecond)))
 	if !a.Resident || !b.Resident {
 		t.Fatal("expected a and b resident before the eviction")
 	}
 	// c's install must evict exactly b, the LRU rule.
-	inject(eng, s, c, 4, 64, time.Microsecond)
+	inject(eng, s, rc, 4, 64, time.Microsecond)
 	eng.RunUntil(sim.Time(int64(4 * time.Millisecond)))
 	if !a.Resident || b.Resident || !c.Resident {
 		t.Fatalf("after eviction: a=%v b=%v c=%v, want a and c resident", a.Resident, b.Resident, c.Resident)
 	}
 	if s.LRUEvictions() != 1 {
 		t.Fatalf("lru evictions = %d, want 1", s.LRUEvictions())
+	}
+	// The recency list is a before c, linked by ref; b is unlinked.
+	if s.lruHead != ra || s.lruTail != rc || a.LRUNext != rc || c.LRUPrev != ra ||
+		a.LRUPrev != 0 || c.LRUNext != 0 || b.LRUPrev != 0 || b.LRUNext != 0 {
+		t.Fatalf("recency list head=%d tail=%d a=%+v b=%+v c=%+v, want a<->c", s.lruHead, s.lruTail, *a, *b, *c)
 	}
 }
 
@@ -124,8 +138,8 @@ func TestIdleTimeoutEviction(t *testing.T) {
 		Threshold:   1,
 		IdleTimeout: time.Millisecond,
 	})
-	f := task.NewFlow(1, task.ClassElephant, 1<<20)
-	inject(eng, s, f, 1, 64, time.Microsecond)
+	ref, f := newFlow(s, 1, task.ClassElephant, 1<<20)
+	inject(eng, s, ref, 1, 64, time.Microsecond)
 	eng.RunUntil(sim.Time(int64(500 * time.Microsecond)))
 	if !f.Resident {
 		t.Fatal("rule not installed")
@@ -137,6 +151,31 @@ func TestIdleTimeoutEviction(t *testing.T) {
 	}
 	if s.IdleEvictions() != 1 {
 		t.Fatalf("idle evictions = %d, want 1", s.IdleEvictions())
+	}
+}
+
+func TestEvictedRetiredFlowReleases(t *testing.T) {
+	eng, s, _ := newSys(t, Config{
+		Workers:     1,
+		Threshold:   1,
+		IdleTimeout: time.Millisecond,
+	})
+	ref, f := newFlow(s, 1, task.ClassElephant, 64)
+	inject(eng, s, ref, 1, 64, time.Microsecond)
+	eng.RunUntil(sim.Time(int64(500 * time.Microsecond)))
+	if !f.Resident {
+		t.Fatal("rule not installed")
+	}
+	// The generator retires the flow while its rule is resident: the
+	// rule is now the record's last reference.
+	f.Retired = true
+	gen := f.Gen
+	eng.RunUntil(sim.Time(int64(5 * time.Millisecond)))
+	if s.IdleEvictions() != 1 {
+		t.Fatalf("idle evictions = %d, want 1", s.IdleEvictions())
+	}
+	if s.flows.Live() != 0 || f.Gen != gen+1 {
+		t.Fatalf("evicted retired flow not released: live = %d, gen %d -> %d", s.flows.Live(), gen, f.Gen)
 	}
 }
 
@@ -152,8 +191,8 @@ func TestInsertionBackPressure(t *testing.T) {
 	// rule in service keeps its queue slot until it completes, so 2 are
 	// admitted and 8 refused.
 	for i := 0; i < 10; i++ {
-		f := task.NewFlow(task.FlowID(i+1), task.ClassElephant, 1<<20)
-		inject(eng, s, f, uint64(i+1), 64, time.Microsecond)
+		ref, _ := newFlow(s, task.FlowID(i+1), task.ClassElephant, 1<<20)
+		inject(eng, s, ref, uint64(i+1), 64, time.Microsecond)
 	}
 	eng.RunUntil(sim.Time(int64(100 * time.Microsecond)))
 	if s.OverOffload() != 8 {
@@ -198,15 +237,14 @@ func TestSlowQueueSaturationDrops(t *testing.T) {
 }
 
 func TestRetiredFlowSkipsInstallAndReleases(t *testing.T) {
-	pool := &task.FlowPool{}
 	eng, s, _ := newSys(t, Config{
 		Workers:    1,
 		Threshold:  1,
 		InsertRate: 1000, // 1ms per rule: the flow retires mid-pipeline
 	})
-	f := pool.Get(1, task.ClassRat, 4)
+	ref, f := newFlow(s, 1, task.ClassRat, 4)
 	f.Remaining = 0
-	inject(eng, s, f, 1, 4, time.Microsecond)
+	inject(eng, s, ref, 1, 4, time.Microsecond)
 	// The generator retires the flow right after emitting its last batch.
 	f.Retired = true
 	eng.RunUntil(sim.Time(int64(10 * time.Millisecond)))
@@ -216,8 +254,8 @@ func TestRetiredFlowSkipsInstallAndReleases(t *testing.T) {
 	if s.Resident() != 0 {
 		t.Fatalf("resident = %d, want 0", s.Resident())
 	}
-	if pool.Live() != 0 {
-		t.Fatalf("flow record leaked: live = %d, want 0", pool.Live())
+	if s.flows.Live() != 0 {
+		t.Fatalf("flow record leaked: live = %d, want 0", s.flows.Live())
 	}
 }
 
@@ -253,9 +291,9 @@ func TestAdaptiveThresholdController(t *testing.T) {
 
 func TestBelowThresholdStaysSlow(t *testing.T) {
 	eng, s, _ := newSys(t, Config{Workers: 1, Threshold: 1 << 19})
-	f := task.NewFlow(1, task.ClassElephant, 1<<20)
+	ref, _ := newFlow(s, 1, task.ClassElephant, 1<<20)
 	for i := 0; i < 5; i++ {
-		inject(eng, s, f, uint64(i+1), 64, time.Microsecond)
+		inject(eng, s, ref, uint64(i+1), 64, time.Microsecond)
 		eng.RunUntil(sim.Time(int64((i + 1) * int(time.Millisecond))))
 	}
 	if s.Insertions() != 0 || s.FastBatches() != 0 {

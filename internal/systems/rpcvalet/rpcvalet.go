@@ -126,6 +126,10 @@ func (s *Valet) Inject(req *task.Request) {
 	s.ingress.SendT(s.cfg.P.RequestFrameBytes, niIngress, s, req, 0)
 }
 
+// BindFlowTable implements the experiment System interface; RPCValet
+// ignores flow identity.
+func (s *Valet) BindFlowTable(*task.FlowTable) {}
+
 // niIngress fires when a request frame reaches the integrated NI.
 //
 //mindgap:noalloc

@@ -129,6 +129,10 @@ func (s *Pool) Name() string {
 	}
 }
 
+// BindFlowTable implements the experiment System interface; the
+// run-to-completion pools ignore flow identity.
+func (s *Pool) BindFlowTable(*task.FlowTable) {}
+
 // Inject admits a client request at the current instant.
 func (s *Pool) Inject(req *task.Request) {
 	s.attr.Arrive(s.eng.Now(), req.ID, req.Service)

@@ -193,6 +193,10 @@ func (s *Shinjuku) Inject(req *task.Request) {
 	s.ingress.SendT(s.cfg.P.RequestFrameBytes, shinIngress, s, req, 0)
 }
 
+// BindFlowTable implements the experiment System interface; Shinjuku
+// ignores flow identity.
+func (s *Shinjuku) BindFlowTable(*task.FlowTable) {}
+
 // shinIngress fires when a request frame reaches the host NIC.
 //
 //mindgap:noalloc

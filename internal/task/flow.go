@@ -5,9 +5,18 @@
 // a PnO-TCP engine owns. Systems that offload per-flow state (the
 // flowrule kind) read and mutate the record; systems that ignore flow
 // identity never touch it.
+//
+// Records live in a FlowTable, the way a NIC's flow table is a fixed
+// array of compact entries addressed by index: a Flow holds no pointers
+// and is named by a FlowRef, so a million-flow population is a handful
+// of allocations the garbage collector never has to scan.
 package task
 
-import "mindgap/internal/sim"
+import (
+	"math/bits"
+
+	"mindgap/internal/sim"
+)
 
 // FlowID uniquely identifies one flow for its whole lifetime (a
 // stand-in for the 5-tuple hash a real NIC would match on).
@@ -27,26 +36,44 @@ const (
 	ClassElephant
 )
 
-// Flow is the pooled per-flow state record. It is referenced from two
-// sides with different lifetimes: the load generator owns the workload
-// view (Remaining, Retired) and a rule-table system owns the NIC view
-// (Seen, Resident, PendingInsert, the LRU links). Neither side may free
-// the record while the other still holds it — ReleaseIfIdle is the one
-// release point, callable from either side, and a no-op until every
-// reference is gone.
+// FlowRef addresses one record of a FlowTable; the zero value names no
+// flow.
+type FlowRef uint32
+
+// MaxFlows is the largest flow population a FlowTable is sized for. It
+// is a quarter of the FlowRef space: the rest is headroom for retired
+// flows whose records are still referenced (a resident rule, a pending
+// insertion, a batch in flight) while their replacements are live.
+const MaxFlows = 1 << 30
+
+// Flow is the per-flow state record. It is referenced from two sides
+// with different lifetimes: the load generator owns the workload view
+// (Remaining, Retired) and a rule-table system owns the NIC view (Seen,
+// Resident, PendingInsert, the LRU links). Neither side may free the
+// record while the other still holds it — FlowTable.ReleaseIfIdle is
+// the one release point, callable from either side, and a no-op until
+// every reference is gone.
 type Flow struct {
 	// ID uniquely identifies the flow.
 	ID FlowID
-	// Class is the flow's size class (elephant or rat).
-	Class FlowClass
+	// Seen counts packets the NIC classifier has observed — the signal
+	// offload-threshold policies act on.
+	Seen uint64
+	// LastHit is the last fast-path hit instant (idle-timeout eviction).
+	LastHit sim.Time
 	// Remaining is how many packets the workload has yet to transmit.
 	Remaining uint32
 	// InFlight counts batches emitted by the generator but not yet
 	// observed by the sink's classifier.
 	InFlight uint32
-	// Seen counts packets the NIC classifier has observed — the signal
-	// offload-threshold policies act on.
-	Seen uint64
+	// Gen counts reuses of this record through its FlowTable, with the
+	// same snapshot-and-compare discipline as Request.Gen.
+	Gen uint32
+	// LRUPrev and LRUNext link resident flows in recency order. They are
+	// owned by the rule-table system; everything else must leave them be.
+	LRUPrev, LRUNext FlowRef
+	// Class is the flow's size class (elephant or rat).
+	Class FlowClass
 	// Resident marks an installed fast-path rule for this flow.
 	Resident bool
 	// PendingInsert marks a rule sitting in the insertion pipeline.
@@ -54,106 +81,134 @@ type Flow struct {
 	// Retired marks the workload side done with the flow (train
 	// exhausted). The record stays live until the NIC side lets go.
 	Retired bool
-	// LastHit is the last fast-path hit instant (idle-timeout eviction).
-	LastHit sim.Time
-	// LRUPrev and LRUNext link resident flows in recency order. They are
-	// owned by the rule-table system; everything else must leave them be.
-	LRUPrev, LRUNext *Flow
-	// Gen counts reuses of this struct through a FlowPool, with the same
-	// snapshot-and-compare discipline as Request.Gen.
-	Gen uint32
-	// pool is the owning pool (nil for plain-allocated flows), so
-	// ReleaseIfIdle can be called by components that never saw the pool.
-	pool *FlowPool
-	// pooled guards against double release.
-	pooled bool
+	// released guards against double release.
+	released bool
 }
 
-// NewFlow creates an unpooled flow with the full packet train remaining.
-func NewFlow(id FlowID, class FlowClass, train uint32) *Flow {
-	return &Flow{ID: id, Class: class, Remaining: train}
+// FlowTable holds Flow records in fixed-size chunks and recycles them
+// with the same generation-guarded discipline as Pool: each reuse bumps
+// Gen and Put panics on double release. Chunks never move, so a ref —
+// and the address At returns for it — stays valid while the table
+// grows. The first chunks come from one allocation sized to the
+// population; later chunks hold a sixteenth of it each (64 to 65536
+// records), so a table's footprint tracks its population.
+type FlowTable struct {
+	chunks [][]Flow
+	shift  uint32 // log2 of the chunk length
+	mask   uint32 // chunk length - 1
+	used   uint32 // records ever handed out: refs 1..used
+	free   []FlowRef
+	live   int
 }
 
-// ReleaseIfIdle returns the record to its pool once nothing references
-// it: the workload retired the flow, no batch is in flight toward the
+// NewFlowTable returns a table with room for population records in a
+// single allocation.
+func NewFlowTable(population int) *FlowTable {
+	if population < 0 || population > MaxFlows {
+		panic("task: flow population outside [0, MaxFlows]")
+	}
+	// Chunk length: a sixteenth of the population rounded up to a power
+	// of two, clamped to [64, 65536] records.
+	shift := uint32(bits.Len(uint(max(population/16, 1) - 1)))
+	shift = min(max(shift, 6), 16)
+	t := &FlowTable{shift: shift, mask: 1<<shift - 1}
+	t.addChunks(max(1, (population+int(t.mask))>>shift))
+	return t
+}
+
+// addChunks appends k chunks carved from one allocation. All record
+// storage comes from here, off the hot path.
+func (t *FlowTable) addChunks(k int) {
+	n := 1 << t.shift
+	block := make([]Flow, k*n)
+	for i := 0; i < k; i++ {
+		t.chunks = append(t.chunks, block[i*n:(i+1)*n:(i+1)*n])
+	}
+}
+
+// At returns the record ref names. The pointer stays valid for the
+// table's lifetime, but the record may be recycled once released:
+// holders compare Gen, as with Request.
+//
+//mindgap:noalloc
+func (t *FlowTable) At(ref FlowRef) *Flow {
+	i := uint32(ref) - 1
+	return &t.chunks[i>>t.shift][i&t.mask]
+}
+
+// Get returns a fresh record with the full packet train remaining,
+// reusing the most recently released record when there is one.
+//
+//mindgap:noalloc
+func (t *FlowTable) Get(id FlowID, class FlowClass, train uint32) FlowRef {
+	var ref FlowRef
+	if n := len(t.free); n > 0 {
+		ref = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		if t.used == uint32(len(t.chunks))<<t.shift {
+			t.grow()
+		}
+		t.used++
+		ref = FlowRef(t.used)
+	}
+	t.live++
+	f := t.At(ref)
+	*f = Flow{
+		ID:        id,
+		Class:     class,
+		Remaining: train,
+		Gen:       f.Gen, // survives recycling; bumped at Put
+	}
+	return ref
+}
+
+// grow adds one chunk once every record is in use.
+func (t *FlowTable) grow() {
+	if uint64(t.used)+uint64(t.mask)+1 > uint64(^FlowRef(0)) {
+		panic("task: flow table exhausted the FlowRef space")
+	}
+	t.addChunks(1)
+}
+
+// Put releases a record to the table. The caller must hold the only
+// live reference; ReleaseIfIdle is the usual (reference-counted) way
+// in. Put panics on double release.
+//
+//mindgap:noalloc
+func (t *FlowTable) Put(ref FlowRef) {
+	f := t.At(ref)
+	if f.released {
+		panic("task: Put on an already-released flow")
+	}
+	f.released = true
+	f.Gen++
+	f.LRUPrev, f.LRUNext = 0, 0
+	t.live--
+	t.free = append(t.free, ref)
+}
+
+// ReleaseIfIdle releases the record once nothing references it: the
+// workload retired the flow, no batch is in flight toward the
 // classifier, and the NIC holds neither a resident rule nor a pending
 // insertion. Both the generator and the rule-table system call it after
 // clearing their reference; whichever call drops the last one frees the
 // record. It reports whether the record was released.
 //
 //mindgap:noalloc
-func (f *Flow) ReleaseIfIdle() bool {
+func (t *FlowTable) ReleaseIfIdle(ref FlowRef) bool {
+	f := t.At(ref)
 	if !f.Retired || f.InFlight != 0 || f.Resident || f.PendingInsert {
 		return false
 	}
-	if f.pool == nil {
-		// Plain-allocated flow: the GC collects it once the caller's
-		// reference goes away.
-		return true
-	}
-	f.pool.Put(f)
+	t.Put(ref)
 	return true
 }
 
-// FlowPool recycles Flow records with the same generation-guarded
-// discipline as Pool: each reuse bumps Gen, Put panics on double
-// release, and the free list is capped at the measured high-water mark
-// of concurrently live flows — so a million-flow point holds a
-// million-record footprint, not a leak.
-type FlowPool struct {
-	free []*Flow
-	live int // currently checked-out flows
-	high int // peak live; caps the free list
-}
+// Live returns the number of records in use.
+func (t *FlowTable) Live() int { return t.live }
 
-// Get returns a flow with the full packet train remaining, recycled
-// from the pool when possible.
-//
-//mindgap:noalloc
-func (p *FlowPool) Get(id FlowID, class FlowClass, train uint32) *Flow {
-	p.live++
-	if p.live > p.high {
-		p.high = p.live
-	}
-	n := len(p.free)
-	if n == 0 {
-		f := NewFlow(id, class, train)
-		f.pool = p
-		return f
-	}
-	f := p.free[n-1]
-	p.free[n-1] = nil
-	p.free = p.free[:n-1]
-	*f = Flow{
-		ID:        id,
-		Class:     class,
-		Remaining: train,
-		Gen:       f.Gen, // survives recycling; bumped at Put
-		pool:      p,
-	}
-	return f
-}
-
-// Put releases a flow back to the pool. The caller must hold the only
-// live reference; ReleaseIfIdle is the usual (reference-counted) way
-// in. Put panics on double release.
-//
-//mindgap:noalloc
-func (p *FlowPool) Put(f *Flow) {
-	if f.pooled {
-		panic("task: Put on an already-released flow")
-	}
-	f.pooled = true
-	f.Gen++
-	f.LRUPrev, f.LRUNext = nil, nil
-	p.live--
-	if len(p.free) < p.high {
-		p.free = append(p.free, f)
-	}
-}
-
-// Live returns the number of checked-out flows.
-func (p *FlowPool) Live() int { return p.live }
-
-// HighWater returns the peak number of simultaneously live flows.
-func (p *FlowPool) HighWater() int { return p.high }
+// HighWater returns the peak number of simultaneously live records. A
+// fresh record is taken only when none is free, so it is also the
+// number of records ever handed out.
+func (t *FlowTable) HighWater() int { return int(t.used) }

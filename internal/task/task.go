@@ -44,12 +44,13 @@ type Request struct {
 	// FlowID identifies the parent flow for flow-keyed workloads; zero
 	// for the classic i.i.d. request streams.
 	FlowID FlowID
-	// FlowState points at the parent flow's pooled state record. A
-	// flow-aware system reads it once at classification and must nil it
-	// there: the record can be recycled the instant the flow's last
-	// reference drops, so holding the pointer past classification is a
-	// use-after-release bug waiting to happen.
-	FlowState *Flow
+	// Flow names the parent flow's state record in the point's
+	// FlowTable (zero for flowless requests). A flow-aware system reads
+	// it once at classification and must zero it there: the record can
+	// be recycled the instant the flow's last reference drops, so
+	// holding the ref past classification is a use-after-release bug
+	// waiting to happen.
+	Flow FlowRef
 	// Packets is how many wire packets this request stands for (a
 	// DPDK-style batch for flow workloads); zero means a single packet.
 	Packets uint32
