@@ -58,8 +58,7 @@ func ChromeTraceEvents(b *Buffer) []ChromeEvent {
 		metaEvent("process_name", chromePidWorkers, 0, "workers"),
 	}
 	namedWorkers := map[int]bool{}
-	for _, id := range b.Requests() {
-		lc := b.Lifecycle(id)
+	_ = b.lifecycles(func(id uint64, lc []Event) error {
 		reqName := fmt.Sprintf("req %d", id)
 		asyncID := fmt.Sprintf("0x%x", id)
 		async := func(ph string, at sim.Time, name string) ChromeEvent {
@@ -78,7 +77,7 @@ func ChromeTraceEvents(b *Buffer) []ChromeEvent {
 			events = append(events, ChromeEvent{
 				Name: reqName, Cat: "exec", Ph: "X",
 				Ts: toMicros(openStart.At), Dur: &dur,
-				Pid: chromePidWorkers, Tid: openStart.Worker,
+				Pid: chromePidWorkers, Tid: int(openStart.Worker),
 				Args: map[string]any{"end": end.Kind.String()},
 			})
 			openStart = nil
@@ -105,11 +104,11 @@ func ChromeTraceEvents(b *Buffer) []ChromeEvent {
 			case Start:
 				e := e
 				openStart = &e
-				if e.Worker >= 0 && !namedWorkers[e.Worker] {
-					namedWorkers[e.Worker] = true
+				if w := int(e.Worker); w >= 0 && !namedWorkers[w] {
+					namedWorkers[w] = true
 					events = append(events,
-						metaEvent("thread_name", chromePidWorkers, e.Worker,
-							fmt.Sprintf("worker %d", e.Worker)))
+						metaEvent("thread_name", chromePidWorkers, w,
+							fmt.Sprintf("worker %d", w)))
 				}
 			case Preempt, Complete:
 				closeSlice(e)
@@ -122,7 +121,8 @@ func ChromeTraceEvents(b *Buffer) []ChromeEvent {
 			events = append(events, async("e", last.At, reqName))
 		}
 		closeSlice(last) // halted mid-execution: close as a zero-length slice
-	}
+		return nil
+	})
 	return events
 }
 
@@ -165,11 +165,13 @@ type jsonEvent struct {
 // order — the machine-readable twin of the text format.
 func WriteJSON(w io.Writer, b *Buffer) error {
 	out := make([]jsonEvent, 0, b.Len())
-	for _, e := range b.Events() {
-		out = append(out, jsonEvent{
-			AtNS: int64(e.At), Kind: e.Kind.String(), ReqID: e.ReqID, Worker: e.Worker,
-			Reason: e.Reason.String(),
-		})
+	for _, c := range b.chunks {
+		for _, e := range c {
+			out = append(out, jsonEvent{
+				AtNS: int64(e.At), Kind: e.Kind.String(), ReqID: e.ReqID, Worker: int(e.Worker),
+				Reason: e.Reason.String(),
+			})
+		}
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)

@@ -8,8 +8,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 
 	"mindgap/internal/sim"
@@ -99,12 +101,14 @@ func (r DropReason) String() string {
 // decision (shed, queue cap) rather than an injected-fault loss.
 func (r DropReason) PolicyDrop() bool { return r == DropShed || r == DropQueueCap }
 
-// Event is one recorded lifecycle step.
+// Event is one recorded lifecycle step. The field order packs it into
+// 24 bytes.
 type Event struct {
-	At     sim.Time
+	At    sim.Time
+	ReqID uint64
+	// Worker is meaningful for Dispatch/Start/Preempt/Complete; else -1.
+	Worker int32
 	Kind   Kind
-	ReqID  uint64
-	Worker int // meaningful for Dispatch/Start/Preempt/Complete; else -1
 	// Reason is set on Drop events recorded through RecordDrop; zero
 	// everywhere else.
 	Reason DropReason
@@ -122,77 +126,168 @@ func (e Event) String() string {
 	return fmt.Sprintf("%v %s req=%d%s", e.At, e.Kind, e.ReqID, suffix)
 }
 
+// chunkLen is the number of events in one storage chunk (96 KiB).
+const chunkLen = 4096
+
 // Buffer accumulates events up to a capacity; once full, further events
 // are counted but not stored (a trace is a debugging window, not a log).
-// The zero value is unusable; use New.
+//
+// Events are stored in chunks of 4,096, allocated as the window fills
+// and never copied or regrown, so a window costs its own size once: 24 B
+// per stored event. The read side (Requests, Lifecycle, Validate,
+// ValidateAll, Format and the Chrome exporter) shares one per-request
+// index, built by one sort on the first read and rebuilt when events
+// were recorded since. The zero value is unusable; use New.
 type Buffer struct {
 	max     int
-	events  []Event
+	n       int       // stored events
+	chunks  [][]Event // chunks[i] holds events i*chunkLen onwards, in record order
 	dropped uint64
+
+	// The index, valid while indexed == n.
+	indexed int
+	order   []int32  // event positions sorted by request ID, then time, then position
+	reqs    []uint64 // distinct request IDs, ascending
+	starts  []int32  // reqs[i]'s events are order[starts[i]:starts[i+1]]
+
+	flat []Event // Events' copy, valid while len(flat) == n
 }
 
-// New creates a buffer holding at most max events (max <= 0 means an
-// effectively unbounded debug buffer).
+// New creates a buffer holding at most max events. max <= 0 means 2^20
+// events, at most 24 MiB, allocated as used; max is capped at 2^31-1.
 func New(max int) *Buffer {
 	if max <= 0 {
 		max = 1 << 20
 	}
-	return &Buffer{max: max, events: make([]Event, 0, min(max, 4096))}
+	return &Buffer{max: min(max, math.MaxInt32)}
 }
 
-// Record appends an event if capacity remains.
+// Record appends an event if capacity remains. It panics if worker does
+// not fit in an int32.
 func (b *Buffer) Record(at sim.Time, kind Kind, reqID uint64, worker int) {
-	if len(b.events) >= b.max {
-		b.dropped++
-		return
-	}
-	b.events = append(b.events, Event{At: at, Kind: kind, ReqID: reqID, Worker: worker})
+	b.add(Event{At: at, ReqID: reqID, Worker: worker32(worker), Kind: kind})
 }
 
 // RecordDrop appends a Drop event carrying the reason the request was
 // lost, so attribution can distinguish policy drops (shed, queue cap)
-// from injected-fault losses.
+// from injected-fault losses. It panics if worker does not fit in an
+// int32.
 func (b *Buffer) RecordDrop(at sim.Time, reqID uint64, worker int, reason DropReason) {
-	if len(b.events) >= b.max {
+	b.add(Event{At: at, ReqID: reqID, Worker: worker32(worker), Kind: Drop, Reason: reason})
+}
+
+func (b *Buffer) add(e Event) {
+	if b.n >= b.max {
 		b.dropped++
 		return
 	}
-	b.events = append(b.events, Event{At: at, Kind: Drop, ReqID: reqID, Worker: worker, Reason: reason})
+	if b.n%chunkLen == 0 {
+		b.chunks = append(b.chunks, make([]Event, 0, min(chunkLen, b.max-b.n)))
+	}
+	c := &b.chunks[len(b.chunks)-1]
+	*c = append(*c, e) // within capacity: never reallocates
+	b.n++
+}
+
+func worker32(w int) int32 {
+	if int(int32(w)) != w {
+		panic(fmt.Sprintf("trace: worker %d does not fit in int32", w))
+	}
+	return int32(w)
 }
 
 // Len returns the number of stored events.
-func (b *Buffer) Len() int { return len(b.events) }
+func (b *Buffer) Len() int { return b.n }
 
 // Truncated returns how many events did not fit.
 func (b *Buffer) Truncated() uint64 { return b.dropped }
 
-// Events returns all stored events in record order.
-func (b *Buffer) Events() []Event { return b.events }
+// Events returns all stored events in record order. The first call after
+// new records builds a flat copy of the window, which later calls share;
+// callers must not modify it.
+func (b *Buffer) Events() []Event {
+	if len(b.flat) != b.n {
+		flat := make([]Event, 0, b.n)
+		for _, c := range b.chunks {
+			flat = append(flat, c...)
+		}
+		b.flat = flat
+	}
+	return b.flat
+}
+
+func (b *Buffer) at(p int32) *Event { return &b.chunks[p/chunkLen][p%chunkLen] }
+
+// index builds the per-request index unless it covers every stored
+// event already. Sorting positions by (request ID, time, position)
+// gives each request's events in the order a stable sort by time of its
+// record-order events would.
+func (b *Buffer) index() {
+	if b.indexed == b.n {
+		return
+	}
+	order := slices.Grow(b.order[:0], b.n)
+	for p := range int32(b.n) {
+		order = append(order, p)
+	}
+	slices.SortFunc(order, func(p, q int32) int {
+		e, f := b.at(p), b.at(q)
+		if c := cmp.Compare(e.ReqID, f.ReqID); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(e.At, f.At); c != 0 {
+			return c
+		}
+		return cmp.Compare(p, q)
+	})
+	reqs, starts := b.reqs[:0], b.starts[:0]
+	for i, p := range order {
+		if id := b.at(p).ReqID; len(reqs) == 0 || id != reqs[len(reqs)-1] {
+			reqs = append(reqs, id)
+			starts = append(starts, int32(i))
+		}
+	}
+	b.order, b.reqs, b.starts, b.indexed = order, reqs, append(starts, int32(len(order))), b.n
+}
+
+// gather appends the events at positions ps to dst.
+func (b *Buffer) gather(dst []Event, ps []int32) []Event {
+	for _, p := range ps {
+		dst = append(dst, *b.at(p))
+	}
+	return dst
+}
+
+// lifecycles calls fn for every request in ID order with its events in
+// time order, stopping at the first error. lc is reused between calls.
+func (b *Buffer) lifecycles(fn func(reqID uint64, lc []Event) error) error {
+	b.index()
+	var lc []Event
+	for i, id := range b.reqs {
+		lc = b.gather(lc[:0], b.order[b.starts[i]:b.starts[i+1]])
+		if err := fn(id, lc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Lifecycle returns the events of one request in time order.
 func (b *Buffer) Lifecycle(reqID uint64) []Event {
-	var out []Event
-	for _, e := range b.events {
-		if e.ReqID == reqID {
-			out = append(out, e)
-		}
+	b.index()
+	i, ok := slices.BinarySearch(b.reqs, reqID)
+	if !ok {
+		return nil
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
+	ps := b.order[b.starts[i]:b.starts[i+1]]
+	return b.gather(make([]Event, 0, len(ps)), ps)
 }
 
-// Requests returns the distinct request IDs present in the buffer.
+// Requests returns the distinct request IDs present in the buffer, in
+// ascending order.
 func (b *Buffer) Requests() []uint64 {
-	seen := map[uint64]bool{}
-	var out []uint64
-	for _, e := range b.events {
-		if !seen[e.ReqID] {
-			seen[e.ReqID] = true
-			out = append(out, e.ReqID)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	b.index()
+	return slices.Clone(b.reqs)
 }
 
 // Format renders a request's lifecycle as one line per event.
@@ -209,7 +304,11 @@ func (b *Buffer) Format(reqID uint64) string {
 // It returns nil for incomplete traces (a request still in flight) as long
 // as the prefix is legal.
 func (b *Buffer) Validate(reqID uint64) error {
-	evs := b.Lifecycle(reqID)
+	return validate(reqID, b.Lifecycle(reqID))
+}
+
+// validate checks one request's events, given in time order.
+func validate(reqID uint64, evs []Event) error {
 	if len(evs) == 0 {
 		return fmt.Errorf("trace: no events for request %d", reqID)
 	}
@@ -265,17 +364,5 @@ func (b *Buffer) Validate(reqID uint64) error {
 
 // ValidateAll validates every request in the buffer.
 func (b *Buffer) ValidateAll() error {
-	for _, id := range b.Requests() {
-		if err := b.Validate(id); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return b.lifecycles(validate)
 }
